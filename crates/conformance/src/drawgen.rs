@@ -271,6 +271,50 @@ pub fn shrink_draw_candidates(case: &DrawCase) -> Vec<DrawCase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proggen::gen_program;
+    use emerald_common::check::check_n;
+    use emerald_isa::{Op, Program, Reg};
+
+    /// Asserts the scoreboard masks and register demand `Program` caches
+    /// at construction equal the `src_regs()`/`dst_regs()` fold; returns
+    /// how many `tex2d`/`blend` instructions (4-register destinations) it
+    /// saw.
+    fn masks_match_reg_lists(p: &Program) -> usize {
+        let mask = |regs: &[Reg]| regs.iter().fold(0u64, |m, r| m | 1 << r.0);
+        let mut used = 0;
+        let mut quads = 0;
+        for (pc, i) in p.instrs().iter().enumerate() {
+            let (dst, src) = (i.op.dst_regs(), i.op.src_regs());
+            assert_eq!(p.dst_mask(pc), mask(&dst), "dst mask at #{pc}: {i}");
+            assert_eq!(
+                p.hazard_mask(pc),
+                mask(&dst) | mask(&src),
+                "hazard mask at #{pc}: {i}"
+            );
+            for r in dst.iter().chain(&src) {
+                used = used.max(r.0 as usize + 1);
+            }
+            if matches!(i.op, Op::Tex2d { .. } | Op::Blend { .. }) {
+                assert_eq!(p.dst_mask(pc).count_ones(), 4, "#{pc}: {i}");
+                quads += 1;
+            }
+        }
+        assert_eq!(p.regs_used(), used, "{}", p.name());
+        quads
+    }
+
+    #[test]
+    fn cached_register_masks_equal_the_register_lists() {
+        check_n("proggen_masks", 64, |rng| {
+            masks_match_reg_lists(&gen_program(rng).program());
+        });
+        masks_match_reg_lists(&shaders::vertex_transform());
+        let mut quads = 0;
+        check_n("drawgen_masks", 64, |rng| {
+            quads += masks_match_reg_lists(&shaders::fragment_shader(gen_draw(rng).fso));
+        });
+        assert!(quads > 0, "no tex2d/blend in any generated fragment shader");
+    }
 
     #[test]
     fn generation_is_deterministic_per_seed() {

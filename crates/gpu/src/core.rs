@@ -8,15 +8,16 @@
 //! hierarchy.
 
 use crate::config::{GpuConfig, WarpSched};
-use crate::warp::{Warp, WarpTag};
+use crate::warp::{bits, Warp, WarpTag};
 use emerald_common::hash::FxHashMap;
 use emerald_common::snap::{SnapError, SnapReader, SnapWriter};
 use emerald_common::types::{AccessKind, Addr, CoreId, Cycle};
 use emerald_isa::exec::Surface;
 use emerald_isa::op::{LatencyClass, Op};
+use emerald_isa::reg::MAX_REGS;
 use emerald_isa::{execute, ExecCtx, Outcome};
 use emerald_mem::cache::{Access, Cache};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A coalesced line access waiting for an L1 port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +48,105 @@ pub struct L1Miss {
 #[derive(Debug)]
 struct MemToken {
     slot: usize,
-    regs: Vec<u8>,
+    /// Destination registers released when the last line returns.
+    regs: u64,
     remaining: u32,
+}
+
+/// Values due at a cycle, drained in cycle order and, within a cycle, in
+/// push order, from one sorted ring that stops allocating once it has
+/// grown to its peak. Draining takes *everything* due at or before `now`,
+/// so a clock that jumps (event skipping) never strands an entry.
+#[derive(Debug)]
+struct DueQueue<T> {
+    q: VecDeque<(Cycle, T)>,
+}
+
+impl<T: Copy> DueQueue<T> {
+    fn new() -> Self {
+        Self { q: VecDeque::new() }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.q.is_empty()
+    }
+
+    fn push(&mut self, at: Cycle, v: T) {
+        // Latencies are short and mostly equal, so this is nearly always
+        // an append.
+        let i = self.q.partition_point(|&(c, _)| c <= at);
+        self.q.insert(i, (at, v));
+    }
+
+    fn pop_due(&mut self, now: Cycle) -> Option<T> {
+        match self.q.front() {
+            Some(&(c, v)) if c <= now => {
+                self.q.pop_front();
+                Some(v)
+            }
+            _ => None,
+        }
+    }
+
+    /// Entries grouped by cycle, ascending (the snapshot layout).
+    fn groups(&self) -> Vec<(Cycle, Vec<T>)> {
+        let mut out: Vec<(Cycle, Vec<T>)> = Vec::new();
+        for &(c, v) in &self.q {
+            match out.last_mut() {
+                Some((last, vs)) if *last == c => vs.push(v),
+                _ => out.push((c, vec![v])),
+            }
+        }
+        out
+    }
+}
+
+/// Occupied warp slots, one bit each, sized for any `max_warps_per_core`:
+/// scheduling and retirement visit resident warps only. The count is
+/// kept alongside so `len` stays O(1): the active-set scan in
+/// `Gpu::cycle` asks every core for it every cycle.
+#[derive(Debug)]
+struct SlotSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl SlotSet {
+    fn new(slots: usize) -> Self {
+        Self {
+            words: vec![0; slots.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Marks a free `slot` occupied.
+    fn insert(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+        self.len += 1;
+    }
+
+    /// Frees an occupied `slot`.
+    fn remove(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+        self.len -= 1;
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Occupied slots, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| bits(w).map(move |b| i * 64 + b))
+    }
 }
 
 /// Issue/commit statistics for one core.
@@ -87,10 +185,8 @@ pub struct SimtCore {
     pub id: CoreId,
     cfg: GpuConfig,
     warps: Vec<Option<Warp>>,
-    /// Resident-warp count, kept in sync with `warps` so `occupancy` is
-    /// O(1) — the active-set scan in `Gpu::cycle` queries it every cycle
-    /// for every core.
-    resident: usize,
+    /// Which `warps` slots hold a warp, kept in sync with `warps`.
+    occupied: SlotSet,
     /// Launch sequence per slot (for greedy-then-oldest).
     seq: Vec<u64>,
     next_seq: u64,
@@ -102,8 +198,10 @@ pub struct SimtCore {
     lsu: VecDeque<PendingLine>,
     tokens: FxHashMap<u64, MemToken>,
     next_token: u64,
-    reg_release: BTreeMap<Cycle, Vec<(usize, Vec<u8>)>>,
-    token_done: BTreeMap<Cycle, Vec<u64>>,
+    /// ALU/SFU writebacks: `(slot, destination register mask)`.
+    reg_release: DueQueue<(usize, u64)>,
+    /// Line completions per memory token.
+    token_done: DueQueue<u64>,
     miss_out: VecDeque<L1Miss>,
     finished: Vec<WarpTag>,
     used_regs: usize,
@@ -120,7 +218,7 @@ impl SimtCore {
         Self {
             id,
             warps: (0..cfg.max_warps_per_core).map(|_| None).collect(),
-            resident: 0,
+            occupied: SlotSet::new(cfg.max_warps_per_core),
             seq: vec![0; cfg.max_warps_per_core],
             next_seq: 0,
             last_greedy: vec![None; cfg.schedulers_per_core],
@@ -131,8 +229,8 @@ impl SimtCore {
             lsu: VecDeque::new(),
             tokens: FxHashMap::default(),
             next_token: 1, // 0 is the untracked-write sentinel
-            reg_release: BTreeMap::new(),
-            token_done: BTreeMap::new(),
+            reg_release: DueQueue::new(),
+            token_done: DueQueue::new(),
             miss_out: VecDeque::new(),
             finished: Vec::new(),
             used_regs: 0,
@@ -151,7 +249,7 @@ impl SimtCore {
     /// True when `program`'s warp would fit right now (free slot and
     /// register-file space).
     pub fn can_accept(&self, program: &emerald_isa::Program) -> bool {
-        self.warps.iter().any(Option::is_none)
+        self.occupancy() < self.warps.len()
             && self.used_regs + Self::reg_demand(program) <= self.cfg.regs_per_core
     }
 
@@ -172,7 +270,7 @@ impl SimtCore {
         self.seq[slot] = self.next_seq;
         self.next_seq += 1;
         self.warps[slot] = Some(warp);
-        self.resident += 1;
+        self.occupied.insert(slot);
         self.stats.warps_launched += 1;
         emerald_obs::trace::instant_args(
             emerald_obs::TraceCat::Warp,
@@ -186,7 +284,7 @@ impl SimtCore {
 
     /// Resident warps.
     pub fn occupancy(&self) -> usize {
-        self.resident
+        self.occupied.len()
     }
 
     /// True when no warp is resident and no memory is in flight.
@@ -201,7 +299,7 @@ impl SimtCore {
     /// would be bumping `stats.cycles`, and the active-set scan in
     /// `Gpu::cycle` depends on that equivalence.
     pub fn is_active(&self) -> bool {
-        self.resident > 0
+        self.occupancy() > 0
             || !self.lsu.is_empty()
             || !self.tokens.is_empty()
             || !self.reg_release.is_empty()
@@ -297,7 +395,7 @@ impl SimtCore {
         let tokens = self.cache_mut(surface).fill(line);
         for t in tokens {
             if t != 0 {
-                self.token_done.entry(now + lat).or_default().push(t);
+                self.token_done.push(now + lat, t);
             }
         }
     }
@@ -310,7 +408,7 @@ impl SimtCore {
         if tok.remaining == 0 {
             let tok = self.tokens.remove(&token).expect("token exists");
             if let Some(w) = self.warps[tok.slot].as_mut() {
-                w.release_regs(&tok.regs);
+                w.release_regs(tok.regs);
                 w.outstanding_mem -= 1;
             }
         }
@@ -323,19 +421,13 @@ impl SimtCore {
         self.stats.cycles += 1;
 
         // 1. Writebacks due this cycle.
-        let due: Vec<Cycle> = self.reg_release.range(..=now).map(|(c, _)| *c).collect();
-        for c in due {
-            for (slot, regs) in self.reg_release.remove(&c).expect("key exists") {
-                if let Some(w) = self.warps[slot].as_mut() {
-                    w.release_regs(&regs);
-                }
+        while let Some((slot, regs)) = self.reg_release.pop_due(now) {
+            if let Some(w) = self.warps[slot].as_mut() {
+                w.release_regs(regs);
             }
         }
-        let due: Vec<Cycle> = self.token_done.range(..=now).map(|(c, _)| *c).collect();
-        for c in due {
-            for t in self.token_done.remove(&c).expect("key exists") {
-                self.complete_token_part(t);
-            }
+        while let Some(t) = self.token_done.pop_due(now) {
+            self.complete_token_part(t);
         }
 
         // 2. LSU: one line access per cycle per LSU port (2 ports).
@@ -348,9 +440,7 @@ impl SimtCore {
                     self.lsu.pop_front();
                     if p.token != 0 {
                         self.token_done
-                            .entry(now + self.cfg.smem_latency as Cycle)
-                            .or_default()
-                            .push(p.token);
+                            .push(now + self.cfg.smem_latency as Cycle, p.token);
                     }
                 }
                 surface => {
@@ -360,17 +450,9 @@ impl SimtCore {
                     match cache.access(p.line, p.kind, p.token, now) {
                         Access::Hit => {
                             self.lsu.pop_front();
-                            if p.kind == AccessKind::Read && p.token != 0 {
-                                self.token_done
-                                    .entry(now + hit_lat)
-                                    .or_default()
-                                    .push(p.token);
-                            } else if p.token != 0 {
-                                // Tracked write that hit: complete now.
-                                self.token_done
-                                    .entry(now + hit_lat)
-                                    .or_default()
-                                    .push(p.token);
+                            // A read hit, or a tracked write that hit.
+                            if p.token != 0 {
+                                self.token_done.push(now + hit_lat, p.token);
                             }
                         }
                         Access::Miss { writeback } => {
@@ -402,10 +484,7 @@ impl SimtCore {
                                 kind: AccessKind::Write,
                             });
                             if p.token != 0 {
-                                self.token_done
-                                    .entry(now + hit_lat)
-                                    .or_default()
-                                    .push(p.token);
+                                self.token_done.push(now + hit_lat, p.token);
                             }
                         }
                         Access::Stall(_) => {
@@ -432,12 +511,14 @@ impl SimtCore {
             self.stats.active_cycles += 1;
         }
 
-        // 4. Retire finished warps.
-        for slot in 0..self.warps.len() {
-            let retire = self.warps[slot].as_ref().is_some_and(|w| w.is_finished());
-            if retire {
+        // 4. Retire finished warps, in slot order.
+        for wi in 0..self.occupied.words.len() {
+            for slot in bits(self.occupied.words[wi]).map(|b| wi * 64 + b) {
+                if !self.warps[slot].as_ref().is_some_and(|w| w.is_finished()) {
+                    continue;
+                }
                 let w = self.warps[slot].take().expect("warp exists");
-                self.resident -= 1;
+                self.occupied.remove(slot);
                 self.used_regs -= Self::reg_demand(&w.program);
                 self.finished.push(w.tag);
                 self.stats.warps_retired += 1;
@@ -480,7 +561,7 @@ impl SimtCore {
                 // Fallback: the oldest ready warp not taken by an earlier
                 // scheduler this cycle.
                 let mut best: Option<usize> = None;
-                for slot in 0..self.warps.len() {
+                for slot in self.occupied.iter() {
                     if !self.warp_ready(slot) || self.last_greedy[..s].contains(&Some(slot)) {
                         continue;
                     }
@@ -494,15 +575,12 @@ impl SimtCore {
             }
             WarpSched::Lrr => {
                 // Rotate: first ready slot after the last issued one.
-                let n = self.warps.len();
                 let start = self.last_greedy[s].map_or(0, |x| x + 1);
-                for off in 0..n {
-                    let slot = (start + off) % n;
-                    if self.warp_ready(slot) && !self.last_greedy[..s].contains(&Some(slot)) {
-                        return Some(slot);
-                    }
-                }
-                None
+                let after = self.occupied.iter().filter(|&slot| slot >= start);
+                let before = self.occupied.iter().take_while(|&slot| slot < start);
+                after.chain(before).find(|&slot| {
+                    self.warp_ready(slot) && !self.last_greedy[..s].contains(&Some(slot))
+                })
             }
         }
     }
@@ -556,32 +634,26 @@ impl SimtCore {
         }
 
         // Timing: destination registers and memory tokens.
-        let dsts = instr.op.dst_regs();
-        match instr.op.latency_class() {
-            LatencyClass::Alu | LatencyClass::Control => {
-                if !dsts.is_empty() {
+        let dsts = program.dst_mask(pc);
+        let class = instr.op.latency_class();
+        match class {
+            LatencyClass::Alu | LatencyClass::Control | LatencyClass::Sfu => {
+                if dsts != 0 {
+                    let lat = if class == LatencyClass::Sfu {
+                        self.cfg.sfu_latency
+                    } else {
+                        self.cfg.alu_latency
+                    };
                     let w = self.warps[slot].as_mut().expect("warp in slot");
-                    w.acquire_regs(&dsts);
-                    self.reg_release
-                        .entry(now + self.cfg.alu_latency as Cycle)
-                        .or_default()
-                        .push((slot, dsts.iter().map(|r| r.0).collect()));
-                }
-            }
-            LatencyClass::Sfu => {
-                if !dsts.is_empty() {
-                    let w = self.warps[slot].as_mut().expect("warp in slot");
-                    w.acquire_regs(&dsts);
-                    self.reg_release
-                        .entry(now + self.cfg.sfu_latency as Cycle)
-                        .or_default()
-                        .push((slot, dsts.iter().map(|r| r.0).collect()));
+                    w.acquire_regs(dsts);
+                    self.reg_release.push(now + lat as Cycle, (slot, dsts));
                 }
             }
             LatencyClass::Mem => {
                 self.stats.mem_instrs += 1;
-                // Coalesce per-lane accesses into unique line accesses.
-                let mut lines: Vec<PendingLine> = Vec::new();
+                // Coalesce per-lane accesses into unique line accesses,
+                // appended to the LSU queue behind `first`.
+                let first = self.lsu.len();
                 let mut tracked = 0u32;
                 let line_of = |surface: Surface, addr: Addr| -> Addr {
                     let lb = match surface {
@@ -596,8 +668,9 @@ impl SimtCore {
                 let token = self.next_token;
                 for a in &res.accesses {
                     let line = line_of(a.surface, a.addr);
-                    if let Some(existing) = lines
-                        .iter_mut()
+                    if let Some(existing) = self
+                        .lsu
+                        .range_mut(first..)
                         .find(|l| l.surface == a.surface && l.line == line)
                     {
                         // Upgrade to read if both kinds touch the line: the
@@ -610,7 +683,7 @@ impl SimtCore {
                         continue;
                     }
                     let is_read = a.kind == AccessKind::Read;
-                    lines.push(PendingLine {
+                    self.lsu.push_back(PendingLine {
                         token: if is_read { token } else { 0 },
                         surface: a.surface,
                         line,
@@ -623,18 +696,17 @@ impl SimtCore {
                 if tracked > 0 {
                     self.next_token += 1;
                     let w = self.warps[slot].as_mut().expect("warp in slot");
-                    w.acquire_regs(&dsts);
+                    w.acquire_regs(dsts);
                     w.outstanding_mem += 1;
                     self.tokens.insert(
                         token,
                         MemToken {
                             slot,
-                            regs: dsts.iter().map(|r| r.0).collect(),
+                            regs: dsts,
                             remaining: tracked,
                         },
                     );
                 }
-                self.lsu.extend(lines);
             }
         }
 
@@ -706,7 +778,7 @@ impl emerald_common::snap::Snapshot for SimtCore {
     /// (a checkpoint-placement bug).
     fn snapshot(&self, w: &mut SnapWriter) {
         assert!(
-            self.resident == 0 && self.tokens.is_empty() && self.lsu.is_empty(),
+            self.occupancy() == 0 && self.tokens.is_empty() && self.lsu.is_empty(),
             "SIMT core must be drained at a checkpoint"
         );
         assert!(
@@ -723,16 +795,18 @@ impl emerald_common::snap::Snapshot for SimtCore {
         w.section(3, |w| self.l1z.snapshot(w));
         w.section(4, |w| self.l1c.snapshot(w));
         w.put_u64(self.next_token);
-        w.put_seq(self.reg_release.iter(), |w, (&cycle, rels)| {
+        // Register masks go out as their ascending register numbers.
+        w.put_seq(self.reg_release.groups().into_iter(), |w, (cycle, rels)| {
             w.put_u64(cycle);
-            w.put_seq(rels.iter(), |w, (slot, regs)| {
-                w.put_usize(*slot);
-                w.put_bytes(regs);
+            w.put_seq(rels.into_iter(), |w, (slot, regs)| {
+                w.put_usize(slot);
+                let regs: Vec<u8> = bits(regs).map(|r| r as u8).collect();
+                w.put_bytes(&regs);
             });
         });
-        w.put_seq(self.token_done.iter(), |w, (&cycle, toks)| {
+        w.put_seq(self.token_done.groups().into_iter(), |w, (cycle, toks)| {
             w.put_u64(cycle);
-            w.put_seq(toks.iter(), |w, &t| w.put_u64(t));
+            w.put_seq(toks.into_iter(), |w, t| w.put_u64(t));
         });
         w.put_seq(self.miss_out.iter(), |w, m| m.snap_write(w));
         w.put_usize(self.used_regs);
@@ -777,19 +851,35 @@ impl emerald_common::snap::Restore for SimtCore {
         r.section(3, |r| self.l1z.restore(r))?;
         r.section(4, |r| self.l1c.restore(r))?;
         self.next_token = r.get_u64()?;
-        self.reg_release = r
-            .get_seq(9, |r| {
-                Ok((
-                    r.get_u64()?,
-                    r.get_seq(9, |r| Ok((r.get_usize()?, r.get_bytes()?.to_vec())))?,
-                ))
-            })?
-            .into_iter()
-            .collect();
-        self.token_done = r
-            .get_seq(9, |r| Ok((r.get_u64()?, r.get_seq(8, |r| r.get_u64())?)))?
-            .into_iter()
-            .collect();
+        let releases = r.get_seq(9, |r| {
+            Ok((
+                r.get_u64()?,
+                r.get_seq(9, |r| {
+                    let slot = r.get_usize()?;
+                    let mut regs = 0u64;
+                    for &reg in r.get_bytes()? {
+                        if reg as usize >= MAX_REGS {
+                            return Err(SnapError::BadValue {
+                                what: "writeback register out of range",
+                            });
+                        }
+                        regs |= 1 << reg;
+                    }
+                    Ok((slot, regs))
+                })?,
+            ))
+        })?;
+        let done = r.get_seq(9, |r| Ok((r.get_u64()?, r.get_seq(8, |r| r.get_u64())?)))?;
+        self.reg_release = DueQueue::new();
+        for (cycle, rels) in releases {
+            rels.into_iter()
+                .for_each(|rel| self.reg_release.push(cycle, rel));
+        }
+        self.token_done = DueQueue::new();
+        for (cycle, toks) in done {
+            toks.into_iter()
+                .for_each(|t| self.token_done.push(cycle, t));
+        }
         self.miss_out = r.get_seq(18, L1Miss::snap_read)?.into();
         self.used_regs = r.get_usize()?;
         self.barriers = r
@@ -810,7 +900,7 @@ impl emerald_common::snap::Restore for SimtCore {
         // The drained invariant: no warps, tokens, or line accesses carry
         // across a checkpoint.
         self.warps.iter_mut().for_each(|w| *w = None);
-        self.resident = 0;
+        self.occupied.clear();
         self.tokens.clear();
         self.lsu.clear();
         self.finished.clear();
@@ -986,6 +1076,119 @@ mod tests {
         assert!(c.launch(mk()).is_ok());
         assert!(c.launch(mk()).is_err(), "register file exhausted");
         assert!(!c.can_accept(&p));
+    }
+
+    /// A core checkpointed with writebacks and token completions still
+    /// queued keeps the established snapshot layout (queues grouped by
+    /// cycle, register lists as ascending register bytes), so existing
+    /// snapshots restore without a version bump, and restores to the
+    /// same queues.
+    #[test]
+    fn pending_queues_keep_their_snapshot_encoding() {
+        use emerald_common::snap::{Restore as _, SnapReader, SnapWriter, Snapshot as _};
+        use std::hash::Hasher as _;
+        let mut c = core();
+        let mut ctx = GlobalMemCtx::new(SharedMem::with_capacity(1 << 16));
+        // The ALU and SFU results are still in flight when the warp retires.
+        launch_simple(
+            &mut c,
+            "add.f32 r5, 1.0, 2.0\ndiv.f32 r6, 1.0, 2.0\nexit",
+            32,
+        );
+        let mut now = 0;
+        while c.occupancy() > 0 {
+            c.cycle(now, &mut ctx);
+            now += 1;
+        }
+        assert_eq!(c.pop_finished(), Some(WarpTag::External(7)));
+        // Out-of-order pushes, a shared cycle and a four-register mask.
+        c.reg_release.push(9, (1, 0xf << 8));
+        c.reg_release.push(6, (2, 1 << 3));
+        c.reg_release.push(9, (3, 1 << 63));
+        c.token_done.push(7, 42);
+        c.token_done.push(5, 43);
+        c.token_done.push(7, 44);
+
+        let mut w = SnapWriter::new();
+        c.snapshot(&mut w);
+        let bytes = w.into_bytes();
+
+        // The queue layout, written out by hand.
+        let mut q = SnapWriter::new();
+        type Release<'a> = (usize, &'a [u8]);
+        let rels: [(Cycle, &[Release]); 4] = [
+            (4, &[(0, &[5])]),
+            (6, &[(2, &[3])]),
+            (9, &[(1, &[8, 9, 10, 11]), (3, &[63])]),
+            (17, &[(0, &[6])]),
+        ];
+        q.put_seq(rels.iter(), |q, (cycle, rs)| {
+            q.put_u64(*cycle);
+            q.put_seq(rs.iter(), |q, (slot, regs)| {
+                q.put_usize(*slot);
+                q.put_bytes(regs);
+            });
+        });
+        let toks: [(Cycle, &[u64]); 2] = [(5, &[43]), (7, &[42, 44])];
+        q.put_seq(toks.iter(), |q, (cycle, ts)| {
+            q.put_u64(*cycle);
+            q.put_seq(ts.iter(), |q, &t| q.put_u64(t));
+        });
+        let layout = q.into_bytes();
+        assert!(bytes.windows(layout.len()).any(|win| win == layout));
+        // The whole encoding, pinned to the bytes snapshots already hold.
+        let mut h = emerald_common::hash::FxHasher::default();
+        h.write(&bytes);
+        assert_eq!((bytes.len(), h.finish()), (3466, 0x2be9_fa54_7bb8_f54c));
+
+        let mut back = core();
+        let mut r = SnapReader::new(&bytes);
+        back.restore(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.reg_release.q, c.reg_release.q);
+        assert_eq!(back.token_done.q, c.token_done.q);
+        let mut again = SnapWriter::new();
+        back.snapshot(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn due_queue_drains_everything_due_in_cycle_then_push_order() {
+        let mut q = DueQueue::new();
+        for (at, v) in [(5, 'a'), (3, 'b'), (5, 'c'), (1, 'd'), (9, 'e')] {
+            q.push(at, v);
+        }
+        assert_eq!(q.pop_due(0), None);
+        // A jump in the clock drains every entry at or before `now`.
+        let due: Vec<char> = std::iter::from_fn(|| q.pop_due(6)).collect();
+        assert_eq!(due, vec!['d', 'b', 'a', 'c']);
+        assert_eq!(q.pop_due(8), None);
+        assert_eq!(q.pop_due(9), Some('e'));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn slot_set_spans_more_than_64_slots() {
+        let mut cfg = GpuConfig::tiny();
+        cfg.max_warps_per_core = 130;
+        let mut c = SimtCore::new(CoreId(0), &cfg);
+        let p = Arc::new(assemble("exit").unwrap());
+        for _ in 0..130 {
+            let w = Warp::new(
+                vec![ThreadState::new()],
+                p.clone(),
+                vec![],
+                WarpTag::External(0),
+            );
+            c.launch(w).unwrap();
+        }
+        assert_eq!(c.occupancy(), 130);
+        assert_eq!(c.occupied.iter().last(), Some(129));
+        assert!(!c.can_accept(&p));
+        let mut ctx = GlobalMemCtx::new(SharedMem::with_capacity(1 << 16));
+        run(&mut c, &mut ctx, 1000);
+        assert_eq!(c.stats().warps_retired, 130);
+        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]

@@ -125,7 +125,13 @@ pub struct Gpu {
     /// read slab (responses are filtered by kind), so collisions with slab
     /// indices are harmless.
     write_ids: ReqIdGen,
-    kernels: Vec<KernelState>,
+    /// Launched kernels from id `retired_kernels` on (`kernels[i]` has id
+    /// `retired_kernels + i`).
+    kernels: VecDeque<KernelState>,
+    /// Kernels whose ids precede `kernels`: all done and dropped, so the
+    /// per-cycle dispatch and drain checks, and memory, scale with the
+    /// kernels in flight rather than with every kernel ever launched.
+    retired_kernels: usize,
     cta_cursor: usize,
     finished_external: Vec<(CoreId, u64)>,
     /// Per-core private store buffers for the bulk-synchronous core phase.
@@ -160,7 +166,8 @@ impl Gpu {
             dram_free: Vec::with_capacity(cfg.l2.mshrs * cfg.l2_banks),
             dram_inflight: 0,
             write_ids: ReqIdGen::new(),
-            kernels: Vec::new(),
+            kernels: VecDeque::new(),
+            retired_kernels: 0,
             cta_cursor: 0,
             finished_external: Vec::new(),
             store_bufs: (0..num_cores).map(|_| StoreBuffer::default()).collect(),
@@ -247,13 +254,25 @@ impl Gpu {
 
     /// Queues a compute kernel; returns its id.
     pub fn launch_kernel(&mut self, kernel: Kernel) -> usize {
-        self.kernels.push(KernelState::new(kernel));
-        self.kernels.len() - 1
+        let id = self.retired_kernels + self.kernels.len();
+        self.kernels.push_back(KernelState::new(kernel));
+        self.drop_done_kernels();
+        id
+    }
+
+    /// Drops the done kernels at the front (done is permanent).
+    fn drop_done_kernels(&mut self) {
+        while self.kernels.front().is_some_and(|k| k.is_done()) {
+            self.kernels.pop_front();
+            self.retired_kernels += 1;
+        }
     }
 
     /// True when kernel `id` has fully retired.
     pub fn kernel_done(&self, id: usize) -> bool {
-        self.kernels.get(id).is_none_or(|k| k.is_done())
+        id.checked_sub(self.retired_kernels)
+            .and_then(|i| self.kernels.get(i))
+            .is_none_or(|k| k.is_done())
     }
 
     /// Finished externally-launched warps: `(core, tag payload)`.
@@ -291,6 +310,7 @@ impl Gpu {
 
     fn dispatch_ctas(&mut self) {
         for ki in 0..self.kernels.len() {
+            let id = self.retired_kernels + ki;
             loop {
                 let (grid, warps_per_cta, shared_bytes) = {
                     let ks = &self.kernels[ki];
@@ -327,9 +347,9 @@ impl Gpu {
                             threads,
                             ks.kernel.program.clone(),
                             ks.kernel.params.clone(),
-                            WarpTag::Compute { kernel: ki, cta },
+                            WarpTag::Compute { kernel: id, cta },
                         );
-                        warp.cta_group = Some((ki, cta, warps_per_cta));
+                        warp.cta_group = Some((id, cta, warps_per_cta));
                         if self.cores[ci].launch(warp).is_err() {
                             all_ok = false;
                             break;
@@ -606,7 +626,7 @@ impl Gpu {
                 self.stats.warps_retired += 1;
                 match tag {
                     WarpTag::Compute { kernel, .. } => {
-                        self.kernels[kernel].warps_outstanding -= 1;
+                        self.kernels[kernel - self.retired_kernels].warps_outstanding -= 1;
                     }
                     WarpTag::External(payload) => {
                         self.finished_external.push((core.id, payload));
@@ -614,22 +634,25 @@ impl Gpu {
                 }
             }
         }
+        self.drop_done_kernels();
         clk.lap(emerald_obs::prof::HostPhase::GpuCommit);
     }
 
     /// One-line internal state summary (diagnostics).
     pub fn debug_snapshot(&self) -> String {
-        format!(
-            "c2l={} l2c={} backlog={} to_mem={} dram_pend={} l2_q={} core0[{}] core2[{}]",
+        let mut s = format!(
+            "c2l={} l2c={} backlog={} to_mem={} dram_pend={} l2_q={}",
             self.core_to_l2.len(),
             self.l2_to_core.len(),
             self.fill_backlog.len(),
             self.to_mem.len(),
             self.dram_inflight,
             self.l2.queued(),
-            self.cores[0].debug_snapshot(),
-            self.cores[2].debug_snapshot(),
-        )
+        );
+        for (i, core) in self.cores.iter().enumerate() {
+            s += &format!(" core{i}[{}]", core.debug_snapshot());
+        }
+        s
     }
 
     /// Runs until idle or `max_cycles`, returning the cycles consumed.
@@ -714,7 +737,7 @@ impl emerald_common::snap::Snapshot for Gpu {
         w.put_usize(self.dram_pending.len());
         w.put_seq(self.dram_free.iter(), |w, &id| w.put_u64(id));
         self.write_ids.snapshot(w);
-        w.put_usize(self.kernels.len());
+        w.put_usize(self.retired_kernels + self.kernels.len());
         w.put_usize(self.cta_cursor);
         w.put_u64(self.stats.issued);
         w.put_u64(self.stats.warps_retired);
@@ -748,7 +771,9 @@ impl emerald_common::snap::Restore for Gpu {
         self.dram_inflight = 0;
         self.write_ids.restore(r)?;
         let kernel_count = r.get_usize()?;
-        if kernel_count != self.kernels.len() || self.kernels.iter().any(|k| !k.is_done()) {
+        if kernel_count != self.retired_kernels + self.kernels.len()
+            || self.kernels.iter().any(|k| !k.is_done())
+        {
             return Err(SnapError::BadValue {
                 what: "restore target must hold the same retired kernels as the snapshot",
             });
@@ -894,6 +919,36 @@ mod tests {
                 "core {ci} never used"
             );
         }
+    }
+
+    #[test]
+    fn done_kernels_are_dropped_but_ids_stay_stable() {
+        let (mut gpu, mut ctx, mut port) = setup();
+        let prog = Arc::new(assemble("mov.b32 r0, %input0\nexit").unwrap());
+        let mut now = 0;
+        for expect in 0..3 {
+            let a = gpu.launch_kernel(Kernel::linear(prog.clone(), 64, 32, vec![]));
+            let b = gpu.launch_kernel(Kernel::linear(prog.clone(), 0, 32, vec![]));
+            assert_eq!((a, b), (2 * expect, 2 * expect + 1));
+            assert!(!gpu.kernel_done(a) && gpu.kernel_done(b));
+            now += gpu.run_to_idle(now, 1_000_000, &mut ctx, &mut port);
+            assert!(gpu.kernel_done(a));
+            assert!(gpu.kernels.is_empty(), "done kernels are not kept");
+        }
+        assert_eq!(gpu.retired_kernels, 6);
+        assert!(gpu.kernel_done(99), "unknown ids read as done, as before");
+    }
+
+    #[test]
+    fn debug_snapshot_summarizes_every_core() {
+        let (gpu, _, _) = setup();
+        assert_eq!(gpu.num_cores(), 2);
+        let s = gpu.debug_snapshot();
+        assert!(
+            s.contains(" core0[occ=0 ") && s.contains(" core1[occ=0 "),
+            "{s}"
+        );
+        assert!(!s.contains("core2"), "{s}");
     }
 
     #[test]

@@ -346,7 +346,8 @@ pub fn execute(
     let instr = program.instr(pc);
     let mask = guard_mask(instr, threads, active);
     let mut res = StepResult::fall_through();
-    let lanes = || (0..WARP_SIZE.min(threads.len())).filter(|l| mask & (1 << l) != 0);
+    let n = WARP_SIZE.min(threads.len());
+    let lanes = || (0..n).filter(|l| mask & (1 << l) != 0);
 
     match &instr.op {
         Op::Nop => {}
@@ -359,14 +360,14 @@ pub fn execute(
             }
         }
         Op::Alu { kind, ty, d, a, b } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let x = read_operand(a, &threads[lane], lane, params);
                 let y = read_operand(b, &threads[lane], lane, params);
                 threads[lane].set_reg(*d, alu(*kind, *ty, x, y));
             }
         }
         Op::Mad { ty, d, a, b, c } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let x = read_operand(a, &threads[lane], lane, params);
                 let y = read_operand(b, &threads[lane], lane, params);
                 let z = read_operand(c, &threads[lane], lane, params);
@@ -375,26 +376,26 @@ pub fn execute(
             }
         }
         Op::Unary { kind, ty, d, a } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let x = read_operand(a, &threads[lane], lane, params);
                 threads[lane].set_reg(*d, unary(*kind, *ty, x));
             }
         }
         Op::Cvt { d, a, from, to } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let x = read_operand(a, &threads[lane], lane, params);
                 threads[lane].set_reg(*d, convert(*from, *to, x));
             }
         }
         Op::SetP { p, cmp, ty, a, b } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let x = read_operand(a, &threads[lane], lane, params);
                 let y = read_operand(b, &threads[lane], lane, params);
                 threads[lane].preds[p.0 as usize] = compare(*cmp, *ty, x, y);
             }
         }
         Op::Sel { d, p, a, b } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let t = &threads[lane];
                 let v = if t.preds[p.0 as usize] {
                     read_operand(a, t, lane, params)
@@ -410,7 +411,7 @@ pub fn execute(
             addr,
             offset,
         } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let base = threads[lane].reg(*addr) as i64;
                 let a = (base + *offset as i64) as Addr;
                 let v = ctx.load(*space, a);
@@ -430,7 +431,7 @@ pub fn execute(
             addr,
             offset,
         } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let base = threads[lane].reg(*addr) as i64;
                 let ad = (base + *offset as i64) as Addr;
                 let v = read_operand(a, &threads[lane], lane, params);
@@ -455,7 +456,7 @@ pub fn execute(
         }
         Op::Tex2d { d, u, v, sampler } => {
             let mut texels = Vec::new();
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let uu = threads[lane].reg_f32(*u);
                 let vv = threads[lane].reg_f32(*v);
                 texels.clear();
@@ -475,7 +476,7 @@ pub fn execute(
             }
         }
         Op::Ztest { z, write } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let t = &threads[lane];
                 let x = t.inputs[input::FRAG_X];
                 let y = t.inputs[input::FRAG_Y];
@@ -504,7 +505,7 @@ pub fn execute(
             }
         }
         Op::Blend { c } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let t = &threads[lane];
                 let x = t.inputs[input::FRAG_X];
                 let y = t.inputs[input::FRAG_Y];
@@ -528,7 +529,7 @@ pub fn execute(
             }
         }
         Op::FbWrite { c } => {
-            for lane in lanes().collect::<Vec<_>>() {
+            for lane in lanes() {
                 let t = &threads[lane];
                 let x = t.inputs[input::FRAG_X];
                 let y = t.inputs[input::FRAG_Y];

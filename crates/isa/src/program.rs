@@ -1,7 +1,7 @@
 //! Shader/kernel programs and static validation.
 
 use crate::op::{Instr, Op};
-use crate::reg::{MAX_REGS, NUM_PARAMS, NUM_PREDS};
+use crate::reg::{Reg, MAX_REGS, NUM_PARAMS, NUM_PREDS};
 use std::fmt;
 
 /// A validated, executable instruction sequence.
@@ -12,6 +12,23 @@ use std::fmt;
 pub struct Program {
     name: String,
     instrs: Vec<Instr>,
+    /// Scoreboard masks per pc, computed once at construction.
+    masks: Vec<RegMasks>,
+    regs_used: usize,
+}
+
+/// Register bitmasks of one instruction (bit `r` stands for `rN`; exact
+/// because validation bounds every register below [`MAX_REGS`] = 64).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RegMasks {
+    /// Sources and destinations: what a pending write blocks.
+    hazard: u64,
+    /// Destinations: what issuing the instruction marks pending.
+    dst: u64,
+}
+
+fn reg_mask(regs: &[Reg]) -> u64 {
+    regs.iter().fold(0, |m, r| m | 1 << r.0)
 }
 
 /// Error produced when validating a [`Program`].
@@ -58,11 +75,26 @@ impl Program {
     /// out-of-range register/predicate/parameter, any branch index is out of
     /// bounds, the program is empty, or no `exit` exists.
     pub fn new(name: impl Into<String>, instrs: Vec<Instr>) -> Result<Self, ProgramError> {
-        let p = Self {
+        let mut p = Self {
             name: name.into(),
             instrs,
+            masks: Vec::new(),
+            regs_used: 0,
         };
         p.validate()?;
+        p.masks = p
+            .instrs
+            .iter()
+            .map(|i| {
+                let dst = reg_mask(&i.op.dst_regs());
+                RegMasks {
+                    hazard: dst | reg_mask(&i.op.src_regs()),
+                    dst,
+                }
+            })
+            .collect();
+        let all = p.masks.iter().fold(0, |m, k| m | k.hazard);
+        p.regs_used = (u64::BITS - all.leading_zeros()) as usize;
         Ok(p)
     }
 
@@ -168,16 +200,26 @@ impl Program {
     /// Highest general-purpose register index used, plus one (the per-thread
     /// register demand used for occupancy limits).
     pub fn regs_used(&self) -> usize {
-        self.instrs
-            .iter()
-            .flat_map(|i| {
-                i.op.dst_regs()
-                    .into_iter()
-                    .chain(i.op.src_regs())
-                    .map(|r| r.0 as usize + 1)
-            })
-            .max()
-            .unwrap_or(0)
+        self.regs_used
+    }
+
+    /// Registers the instruction at `pc` reads or writes, as a bitmask: a
+    /// warp with any of them still pending must not issue it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is out of range.
+    pub fn hazard_mask(&self, pc: usize) -> u64 {
+        self.masks[pc].hazard
+    }
+
+    /// Registers the instruction at `pc` writes, as a bitmask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pc` is out of range.
+    pub fn dst_mask(&self, pc: usize) -> u64 {
+        self.masks[pc].dst
     }
 }
 
@@ -251,6 +293,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.regs_used(), 12); // r8..r11 -> 12
+        assert_eq!(p.dst_mask(0), 0xf << 8);
+        assert_eq!(p.hazard_mask(0), 0xf << 8 | 0b11);
+        assert_eq!((p.dst_mask(1), p.hazard_mask(1)), (0, 0));
     }
 
     #[test]

@@ -29,11 +29,13 @@
 //!
 //! Counters and phase accumulators are thread-local to the simulation
 //! thread; only the pool-shard busy counters are process-global atomics
-//! (worker threads write them). [`take`] drains everything into a
+//! (worker threads write them). The enable flag counts holders per
+//! thread, so one thread switching profiling off never stops another
+//! thread's profiled run ([`set_enabled`]). [`take`] drains everything into a
 //! [`HostProfile`] snapshot.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Host phases the simulation loop is attributed to. GPU phases are the
@@ -135,7 +137,23 @@ pub fn active_bucket_label(bucket: usize) -> &'static str {
     ["0", "1", "2", "3", "4-7", "8-15", "16-31", "32-63", "64+"][bucket]
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Number of threads currently holding profiling enabled (see
+/// [`set_enabled`]). Profiling is on process-wide while any thread holds
+/// it, so one thread switching profiling off can never cut short a
+/// measured run on another thread.
+static ENABLED: AtomicUsize = AtomicUsize::new(0);
+
+/// One thread's hold on [`ENABLED`], released when the thread exits so a
+/// thread that panics mid-measurement does not leave profiling on.
+struct EnableHold(Cell<bool>);
+
+impl Drop for EnableHold {
+    fn drop(&mut self) {
+        if self.0.get() {
+            ENABLED.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Calibrated cost of one `Instant::now` call, in nanoseconds. Every
 /// [`PhaseClock::lap`] interval includes the acquisition cost of its own
@@ -230,22 +248,34 @@ thread_local! {
     /// Whether an outermost-loop measurement is open (see [`loop_enter`]).
     static IN_LOOP: Cell<bool> = const { Cell::new(false) };
     static ACC: RefCell<Accum> = const { RefCell::new(Accum::new()) };
+    static HOLD: EnableHold = const { EnableHold(Cell::new(false)) };
 }
 
 /// Whether profiling is globally enabled. One relaxed atomic load — this
 /// is the whole cost of a disabled emit site.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) != 0
 }
 
-/// Turns profiling on or off (tests and harnesses; binaries usually use
-/// [`init_from_env`]).
+/// Turns profiling on or off for the calling thread's runs (tests and
+/// harnesses; binaries usually use [`init_from_env`]). Each thread holds
+/// at most one enable; profiling stays on while any thread holds one.
+/// Accumulators are per thread, so concurrent profiled runs on different
+/// threads never see each other's counts.
 pub fn set_enabled(on: bool) {
     if on {
         TIMESTAMP_COST_NS.store(calibrate_timestamp_ns(), Ordering::Relaxed);
     }
-    ENABLED.store(on, Ordering::Relaxed);
+    HOLD.with(|h| {
+        if h.0.replace(on) != on {
+            if on {
+                ENABLED.fetch_add(1, Ordering::Relaxed);
+            } else {
+                ENABLED.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    });
     if !on {
         SAMPLING.with(|s| s.set(false));
     }
@@ -830,6 +860,24 @@ mod tests {
         let p2 = take();
         assert_eq!(p2.pool_runs, 0);
         assert!(p2.pool_busy_ns.is_empty());
+    }
+
+    #[test]
+    fn enable_holds_are_per_thread() {
+        let _g = locked();
+        set_enabled(true);
+        std::thread::spawn(|| {
+            set_enabled(true);
+            set_enabled(false);
+        })
+        .join()
+        .unwrap();
+        assert!(enabled(), "another thread's disable stopped this run");
+        set_enabled(false);
+        assert!(!enabled());
+        // A thread that exits while holding releases its hold.
+        std::thread::spawn(|| set_enabled(true)).join().unwrap();
+        assert!(!enabled(), "an exited thread left profiling on");
     }
 
     #[test]

@@ -87,6 +87,19 @@ fn get_u64(v: &Json, what: &str) -> Result<u64, String> {
     Ok(n as u64)
 }
 
+fn get_u32(v: &Json, what: &str) -> Result<u32, String> {
+    let n = get_u64(v, what)?;
+    u32::try_from(n).map_err(|_| format!("{what} wants an integer below 2^32, got {n}"))
+}
+
+/// A framebuffer dimension: a `u32` of at least 1.
+fn get_dim(v: &Json, what: &str) -> Result<u32, String> {
+    match get_u32(v, what)? {
+        0 => Err(format!("{what} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn get_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
     v.as_str().ok_or_else(|| format!("{what} wants a string"))
 }
@@ -100,12 +113,12 @@ impl JobParams {
             "model" => self.model = get_str(value, key)?.to_string(),
             "mem" => self.mem = get_str(value, key)?.to_string(),
             "dram" => self.dram = get_str(value, key)?.to_string(),
-            "width" => self.width = get_u64(value, key)? as u32,
-            "height" => self.height = get_u64(value, key)? as u32,
+            "width" => self.width = get_dim(value, key)?,
+            "height" => self.height = get_dim(value, key)?,
             "period" => self.period = get_u64(value, key)?,
-            "warmup" => self.warmup = get_u64(value, key)? as u32,
-            "frames" => self.frames = get_u64(value, key)? as u32,
-            "frame_offset" => self.frame_offset = get_u64(value, key)? as u32,
+            "warmup" => self.warmup = get_u32(value, key)?,
+            "frames" => self.frames = get_u32(value, key)?,
+            "frame_offset" => self.frame_offset = get_u32(value, key)?,
             "vsync" => self.vsync = get_u64(value, key)?,
             "seed" => self.seed = get_u64(value, key)?,
             other => return Err(format!("unknown sweep parameter {other:?}")),
@@ -449,5 +462,22 @@ mod tests {
         ] {
             assert!(SweepSpec::parse(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn degenerate_sizes_are_rejected_by_name() {
+        for key in ["width", "height"] {
+            for (value, says) in [("0", "at least 1"), ("5000000000", "below 2^32")] {
+                for spec in [
+                    format!(r#"{{"base": {{"{key}": {value}}}}}"#),
+                    format!(r#"{{"axes": [{{"key": "{key}", "values": [64, {value}]}}]}}"#),
+                ] {
+                    let err = SweepSpec::parse(&spec).expect_err(&spec);
+                    assert!(err.contains(key) && err.contains(says), "{spec}: {err}");
+                }
+            }
+        }
+        let err = SweepSpec::parse(r#"{"base": {"frames": 4294967296}}"#).unwrap_err();
+        assert!(err.contains("frames"), "{err}");
     }
 }

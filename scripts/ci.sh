@@ -111,4 +111,12 @@ echo "==> bench_diff: per-cycle reference (skip+batch off) vs default (cycles id
 EMERALD_SKIP=0 EMERALD_CPU_BATCH=0 ./scripts/bench.sh --smoke --out BENCH_percycle.json >/dev/null 2>&1
 cargo run --release --quiet --bin bench_diff -- BENCH_frame.json BENCH_percycle.json --no-wall
 
+echo "==> benchmark builds and runs (perfbench: 1 s traced gpgpu and sweep_paced)"
+# perfbench is a standalone package outside the workspace, so no step
+# above compiles it; a library API change that breaks it fails here.
+for workload in gpgpu sweep_paced; do
+  cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 1 >/dev/null
+done
+
 echo "CI gate passed."

@@ -358,17 +358,26 @@ fn measure_profile_overhead(smoke: bool, was_profiling: bool) -> f64 {
     // faults, calibration) outside the measurement.
     let _ = one(false);
     let _ = one(true);
+    // Min-of-N only damps scheduler noise when the N runs span many
+    // scheduler ticks, so rounds continue until each arm has simulated
+    // for MIN_ARM_SIM_MS in total, however fast a single run is.
+    const MIN_ARM_SIM_MS: f64 = 150.0;
     let mut off_ms = f64::INFINITY;
     let mut on_ms = f64::INFINITY;
     let mut off_cycles = 0;
     let mut on_cycles = 0;
-    for _ in 0..rounds {
+    let (mut off_total, mut on_total) = (0.0_f64, 0.0_f64);
+    let mut round = 0;
+    while round < rounds || off_total.min(on_total) < MIN_ARM_SIM_MS {
         let (ms, c) = one(false);
         off_ms = off_ms.min(ms);
+        off_total += ms;
         off_cycles = c;
         let (ms, c) = one(true);
         on_ms = on_ms.min(ms);
+        on_total += ms;
         on_cycles = c;
+        round += 1;
     }
     emerald::obs::prof::set_enabled(was_profiling);
     emerald::obs::prof::reset();

@@ -96,3 +96,45 @@ fn forked_sweep_is_bit_identical_to_cold_sweep() {
     assert!(cold.results.iter().all(|r| r.start == StartMode::Cold));
     assert!(forked.results.iter().all(|r| r.start == StartMode::Forked));
 }
+
+/// Degenerate sizes are protocol errors from `emerald_serve` itself: the
+/// request is answered with an error naming the key, and the server keeps
+/// serving (the next `ping` still gets a `pong`).
+#[test]
+fn emerald_serve_rejects_degenerate_sizes_and_keeps_serving() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_emerald_serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn emerald_serve");
+    let requests = concat!(
+        r#"{"op":"sweep","spec":{"base":{"width":0}}}"#,
+        "\n",
+        r#"{"op":"sweep","spec":{"axes":[{"key":"height","values":[5000000000]}]}}"#,
+        "\n",
+        r#"{"op":"ping"}"#,
+        "\n",
+    );
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(requests.as_bytes())
+        .expect("write requests");
+    let out = child.wait_with_output().expect("emerald_serve exits");
+    assert!(
+        out.status.success(),
+        "emerald_serve failed: {:?}",
+        out.status
+    );
+    let lines: Vec<&str> = std::str::from_utf8(&out.stdout)
+        .expect("utf-8")
+        .lines()
+        .collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    assert!(lines[0].contains(r#""ok":false"#) && lines[0].contains("width"));
+    assert!(lines[1].contains(r#""ok":false"#) && lines[1].contains("height"));
+    assert!(lines[2].contains(r#""ev":"pong""#), "{}", lines[2]);
+}
